@@ -1,0 +1,11 @@
+"""Make the program importable for the benchmark's own tests.
+
+Run them from the repository root with ``python3 -m pytest nocbench``.
+"""
+
+import sys
+from pathlib import Path
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+if _SRC not in sys.path:
+    sys.path.insert(0, _SRC)
