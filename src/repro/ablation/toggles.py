@@ -246,7 +246,7 @@ for _feature in (
         description="tile-cursor streamed decode vs full materialization",
         toggle="WeightProvider.cursor() vs Codec.decode()",
         runner=run_streamed_decode,
-        workloads=("lenet-dense", "gaussian"),
+        workloads=("lenet-dense", "gaussian", "random-walk"),
     ),
     Feature(
         name="runtime.result_cache",

@@ -4,9 +4,11 @@ Two kinds:
 
 * **streams** — 1-D float32 weight streams for the codec-side features:
   the selected LeNet-5 layer (``lenet-dense``), a seeded Gaussian
-  stream (``gaussian``), and the paper's Fig. 5 adversarial
-  alternating-pairs ramp (``adversarial``).  ``fast`` truncates them so
-  the CI smoke stays cheap.
+  stream (``gaussian``), the paper's Fig. 5 adversarial
+  alternating-pairs ramp (``adversarial``), and a long-segment random
+  walk (``random-walk``, segments of hundreds of weights where the
+  Gaussian streams give two or three).  ``fast`` truncates them so the
+  CI smoke stays cheap.
 * **accelerator runs** — :func:`layer_run` executes the selected
   LeNet-5 layer (or a named one) on the flit-level simulator with an
   :class:`~repro.mapping.accelerator.AcceleratorConfig` override dict;
@@ -60,10 +62,21 @@ def _adversarial(n: int) -> np.ndarray:
     return (idx * 0.01 + (idx % 2) * 0.5).astype(np.float32)
 
 
+def _random_walk(n: int) -> np.ndarray:
+    # small Gaussian steps (flat under the tolerance) broken by a +-1
+    # jump every 256 weights: a few long segments, where a float32
+    # accumulator and the float64 line drift apart
+    rng = np.random.default_rng(7)
+    steps = rng.normal(scale=0.01, size=n)
+    steps[::256] += rng.choice([-1.0, 1.0], size=steps[::256].size)
+    return np.cumsum(steps).astype(np.float32)
+
+
 STREAM_WORKLOADS = {
     "lenet-dense": _lenet_dense,
     "gaussian": _gaussian,
     "adversarial": _adversarial,
+    "random-walk": _random_walk,
 }
 
 

@@ -11,6 +11,9 @@ compression
 decompressor
     Cycle/bit-level model of the on-PE decompression unit (Fig. 6),
     vectorized batch decode and the ``WeightStream`` tile cursor.
+plan
+    ``DecodePlan``: a line-fit payload parsed and verified once, then
+    regenerated range by range through the one line-evaluation kernel.
 provider
     Streamed weight delivery: the ``WeightProvider`` contract that lets
     consumers pull decoded tiles on demand (fused decode+MAC).
@@ -81,6 +84,7 @@ from .metrics import (
 )
 from .model_store import ModelArchive, compress_model, load_archive
 from .multilayer import MultiLayerPlan, optimize_multilayer
+from .plan import DecodePlan
 from .pareto import DesignPoint, dominates, knee_point, pareto_front
 from .pruning import PrunedTensor, prune_magnitude, pruned_footprint_bytes
 from .pipeline import CompressionPipeline, DeltaRecord, apply_compression
@@ -122,6 +126,7 @@ __all__ = [
     "DecompressorTiming",
     "WeightStream",
     "decompress_accumulate",
+    "DecodePlan",
     "WeightCursor",
     "WeightProvider",
     "ArrayProvider",

@@ -6,6 +6,7 @@ least squares (:mod:`repro.core.linefit`), the storage-format cost model
 (:mod:`repro.core.compression`) and the RWCS wire format
 (:mod:`repro.core.codec`) — without re-implementing any of it, so blobs
 produced here are byte-identical to the pre-registry call sites.
+Decoding builds a :class:`~repro.core.plan.DecodePlan` and evaluates it.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 from .. import codec as wire
 from ..compression import SEGMENTERS, CompressedStream, StorageFormat, compress
 from ..errors import CodecError
+from ..plan import DecodePlan
 from ..segmentation import delta_from_percent
 from .base import Codec, CompressedBlob, as_stream
 from .registry import register_codec
@@ -150,23 +152,41 @@ class LineFitCodec(Codec):
     def decode_stream(self, blob: CompressedBlob) -> CompressedStream:
         """The parsed :class:`CompressedStream` behind a blob.
 
+        For inspecting the segment structure (lengths, coefficients,
+        storage format); decoding weights goes through :meth:`plan`.
         When the blob declares its weight count (``meta.num_weights``),
-        the wire decoder additionally checks that the segment lengths
-        sum to exactly it — a length field corrupted in storage can no
-        longer silently mis-shape the regenerated stream.
+        the segment lengths must sum to exactly it.
         """
         declared = blob.num_weights
         return wire.decode(
             blob.payload, expected_weights=declared if declared else None
         )
 
+    def plan(self, blob: CompressedBlob, context: str = "") -> DecodePlan:
+        """The verified :class:`~repro.core.plan.DecodePlan` of a blob.
+
+        Runs every check a decode runs: the payload CRC the blob
+        records (if any), the wire format's header and frame CRCs,
+        bounds and finiteness, and — when the blob declares its weight
+        count (``meta.num_weights``) — that the segment lengths sum to
+        exactly it, so a length field corrupted in storage can never
+        silently mis-shape the regenerated stream.
+        """
+        return DecodePlan.from_blob(blob, context=context)
+
     def decode(self, blob: CompressedBlob) -> np.ndarray:
-        return self.decode_stream(blob).decompress(dtype=np.float32)
+        return self.plan(blob).evaluate(dtype=np.float32)
 
     def reconstruction_mse(self, blob: CompressedBlob, original: np.ndarray) -> float:
-        # Defer to the stream's own float64 MSE so the figure is
-        # bit-identical with the pre-registry Tab. II path.
-        w = np.asarray(original).ravel()
+        # the float64 line against the float64 original, bit-identical
+        # with CompressedStream.mse on the Tab. II path
+        w = np.asarray(original, dtype=np.float64).ravel()
         if w.size == 0:
             return 0.0
-        return self.decode_stream(blob).mse(w)
+        plan = self.plan(blob)
+        if w.size != plan.num_weights:
+            raise ValueError(
+                f"original has {w.size} weights, stream encodes {plan.num_weights}"
+            )
+        diff = plan.evaluate(dtype=np.float64) - w
+        return float(np.mean(diff * diff))

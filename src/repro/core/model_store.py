@@ -44,11 +44,18 @@ from pathlib import Path
 import numpy as np
 
 from ..nn.graph import Model
-from .codec import decode as wire_decode
-from .codecs import Codec, CompressedBlob, get_codec
+from .codecs import Codec, CompressedBlob, LineFitCodec, get_codec
 from .errors import CodecError, IntegrityError
+from .plan import DecodePlan
 
-__all__ = ["ModelArchive", "compress_model", "load_archive", "FORMAT_VERSION"]
+__all__ = [
+    "ModelArchive",
+    "compress_model",
+    "load_archive",
+    "layer_plan",
+    "decode_layer",
+    "FORMAT_VERSION",
+]
 
 #: current archive format: 2 = per-layer payload CRCs + optional fallbacks
 FORMAT_VERSION = 2
@@ -122,17 +129,6 @@ class ModelArchive:
         np.savez_compressed(path, **arrays)
 
     # -- application -------------------------------------------------------
-    def _decode_layer(self, name: str, payload: bytes) -> np.ndarray:
-        spec = self.codecs.get(name)
-        if spec is None:
-            # legacy archive: line-fit wire format, no registry record
-            return wire_decode(payload).decompress()
-        codec = get_codec(spec["name"], **spec.get("params", {}))
-        blob = CompressedBlob.rebuild(spec, payload)
-        # v2 archives record a payload CRC; v1 specs verify vacuously
-        blob.verify(context=f"layer {name!r}")
-        return codec.decode(blob)
-
     def _degrade_layer(
         self, name: str, shape: tuple[int, ...], error: CodecError, on_fault: str
     ) -> tuple[np.ndarray, str]:
@@ -184,7 +180,9 @@ class ModelArchive:
         report: dict[str, str] = {}
         for name, (payload, shape) in self.compressed.items():
             try:
-                tensor = self._decode_layer(name, payload).reshape(shape)
+                tensor = decode_layer(
+                    self.codecs.get(name), payload, context=f"layer {name!r}"
+                ).reshape(shape)
             except CodecError as exc:
                 if on_fault == "raise":
                     raise
@@ -202,6 +200,34 @@ class ModelArchive:
                 current[key] = arr
             model.load_state_dict(current)
         return report
+
+
+def layer_plan(spec: dict | None, payload: bytes, context: str = "") -> DecodePlan | None:
+    """The verified :class:`DecodePlan` of one line-fit archive layer.
+
+    ``spec`` is the layer's codec record (``None`` for a legacy
+    archive, whose payloads are line-fit wire messages).  Building the
+    plan runs every check a decode runs; v2 archives record a payload
+    CRC, v1 specs verify vacuously.  Returns ``None`` for layers of any
+    other codec — those decode whole through :func:`decode_layer`.
+    """
+    if spec is None:
+        return DecodePlan.from_payload(payload)
+    codec = get_codec(spec["name"], **spec.get("params", {}))
+    if not isinstance(codec, LineFitCodec):
+        return None
+    return codec.plan(CompressedBlob.rebuild(spec, payload), context=context)
+
+
+def decode_layer(spec: dict | None, payload: bytes, context: str = "") -> np.ndarray:
+    """Decode one archive layer's payload to its flat float32 stream."""
+    plan = layer_plan(spec, payload, context=context)
+    if plan is not None:
+        return plan.evaluate()
+    codec = get_codec(spec["name"], **spec.get("params", {}))
+    blob = CompressedBlob.rebuild(spec, payload)
+    blob.verify(context=context)
+    return codec.decode(blob)
 
 
 def compress_model(

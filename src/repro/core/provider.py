@@ -15,13 +15,20 @@ decides how the tiles come to exist —
   in-PE decompression unit feeding the MAC datapath directly;
 * :class:`BlobProvider` adapts any registered codec's
   :class:`~repro.core.codecs.CompressedBlob`: pure ``linefit`` blobs
-  stream for real; other codecs (whose decoders are not incremental)
-  materialize once per provider and then serve views — same contract,
-  documented fallback.
+  stream for real, as ranges of one verified
+  :class:`~repro.core.plan.DecodePlan`; other codecs (whose decoders
+  are not incremental) materialize once per provider and then serve
+  views — same contract, documented fallback.
 
 Tile values are **bit-identical** to the materialized decode for every
 provider: streaming only changes *when* weights exist, never what they
-are (property-tested in ``tests/core/test_streamed_decode.py``).
+are (property-tested in ``tests/core/test_streamed_decode.py``).  The
+two line-fit providers differ in *which* decode they stream:
+``StreamProvider`` models the hardware accumulator (equal to
+:func:`~repro.core.decompressor.decompress_accumulate` in the cursor
+dtype), ``BlobProvider`` streams the codec's own decode (equal to
+``codec.decode(blob).astype(dtype)``, the float64 line rounded to
+float32), so a blob gives the same weights streamed or materialized.
 
 :func:`provider_for` normalizes anything weight-shaped (ndarray,
 ``CompressedStream``, ``CompressedBlob``, or an existing provider) so
@@ -37,6 +44,7 @@ import numpy as np
 from .compression import CompressedStream
 from .decompressor import DEFAULT_TILE_WEIGHTS, WeightStream
 from .errors import CodecError
+from .plan import DecodePlan
 
 __all__ = [
     "WeightCursor",
@@ -92,6 +100,28 @@ class _StreamCursor(WeightCursor):
 
     def read(self, n: int) -> np.ndarray:
         return self._ws.read(n)
+
+
+class _PlanCursor(WeightCursor):
+    """Cursor evaluating tiles on demand as ranges of a ``DecodePlan``.
+
+    Tiles are the codec's float32 decode, cast to the cursor dtype.
+    """
+
+    def __init__(self, plan: DecodePlan, dtype) -> None:
+        self._plan = plan
+        self._dtype = np.dtype(dtype)
+        self._pos = 0
+
+    @property
+    def remaining(self) -> int:
+        return self._plan.num_weights - self._pos
+
+    def read(self, n: int) -> np.ndarray:
+        n = max(min(int(n), self.remaining), 0)
+        out = self._plan.evaluate(self._pos, self._pos + n, dtype=np.float32)
+        self._pos += n
+        return out.astype(self._dtype, copy=False)
 
 
 class WeightProvider:
@@ -168,8 +198,11 @@ class StreamProvider(WeightProvider):
 class BlobProvider(WeightProvider):
     """Provider over any registered codec's :class:`CompressedBlob`.
 
-    A pure ``linefit`` blob parses to a :class:`CompressedStream` and
-    streams for real.  Other codecs' decoders are whole-payload, so the
+    A pure ``linefit`` blob is parsed and verified once, at
+    construction, into a :class:`~repro.core.plan.DecodePlan`; its
+    cursors evaluate tile ranges of that plan, so streamed and
+    materialized values both equal ``codec.decode(blob)`` cast to the
+    cursor dtype.  Other codecs' decoders are whole-payload, so the
     first cursor materializes the decode once (cached on the provider)
     and subsequent cursors serve views — the provider contract holds
     either way, only the peak memory differs.
@@ -188,16 +221,15 @@ class BlobProvider(WeightProvider):
         self.num_weights = blob.num_weights
         self.num_segments = blob.num_segments
         self.compression_ratio = blob.compression_ratio
-        self._stream: CompressedStream | None = None
+        self._plan: DecodePlan | None = None
         self._decoded: np.ndarray | None = None
         self._materialize_lock = threading.Lock()
         if blob.codec == "linefit":
             from .codecs import get_codec  # local import: codecs -> core cycles
 
-            codec = get_codec(blob.codec, **blob.params)
-            self._stream = codec.decode_stream(blob)
-            self.num_weights = self._stream.num_weights
-            self.num_segments = self._stream.num_segments
+            self._plan = get_codec(blob.codec, **blob.params).plan(blob)
+            self.num_weights = self._plan.num_weights
+            self.num_segments = self._plan.num_segments
 
     @property
     def blob(self):
@@ -205,7 +237,7 @@ class BlobProvider(WeightProvider):
 
     @property
     def streaming(self) -> bool:
-        return self._stream is not None
+        return self._plan is not None
 
     def _materialized(self) -> np.ndarray:
         # double-checked: the lock-free fast path reads an attribute
@@ -232,13 +264,13 @@ class BlobProvider(WeightProvider):
         return decoded
 
     def cursor(self, dtype=np.float32) -> WeightCursor:
-        if self._stream is not None:
-            return _StreamCursor(self._stream, dtype)
+        if self._plan is not None:
+            return _PlanCursor(self._plan, dtype)
         return WeightCursor(self._materialized().astype(dtype, copy=False))
 
     def materialize(self, dtype=np.float32) -> np.ndarray:
-        if self._stream is not None:
-            return WeightProvider.materialize(self, dtype=dtype)
+        if self._plan is not None:
+            return self._plan.evaluate(dtype=np.float32).astype(dtype, copy=False)
         return self._materialized().astype(dtype, copy=False)
 
 

@@ -41,6 +41,7 @@ from ..analysis.report import render_table
 from ..core import codec as wire
 from ..core.compression import compress
 from ..core.errors import CodecError
+from ..core.plan import DecodePlan
 from ..core.segmentation import delta_from_percent
 from ..nn import zoo
 from ..nn.train import evaluate
@@ -129,8 +130,8 @@ def _campaign_point(
             dig = digest(damaged)
             try:
                 tensor = (
-                    wire.decode(damaged, expected_weights=count)
-                    .decompress(dtype=np.float32)
+                    DecodePlan.from_payload(damaged, expected_weights=count)
+                    .evaluate(dtype=np.float32)
                     .reshape(shape)
                 )
                 detail = "decoded silently (garbage coefficients possible)"

@@ -8,7 +8,10 @@ through the :class:`~repro.serve.cache.DecodedWeightCache` into the
 fused streamed-weight forward
 (:meth:`repro.nn.graph.Model.forward_streamed`), so decoded arrays
 live in one bounded, shared, evictable place instead of being baked
-into every model instance.
+into every model instance.  A cache miss on a line-fit layer parses
+and verifies its payload only the first time: the layer keeps the
+resulting :class:`~repro.core.plan.DecodePlan` (outside the cache
+budget, one per compressed layer), and later misses only evaluate it.
 
 Batch forwards run **per sample**: each request's output is produced by
 exactly the computation a lone request would get, so batched and serial
@@ -28,10 +31,9 @@ from dataclasses import asdict
 import numpy as np
 
 from .. import obs
-from ..core.codec import decode as wire_decode
-from ..core.codecs import CompressedBlob, get_codec
 from ..core.errors import CodecError, IntegrityError
-from ..core.model_store import ModelArchive
+from ..core.model_store import ModelArchive, decode_layer, layer_plan
+from ..core.plan import DecodePlan
 from ..nn.graph import Model
 from ..runtime.keys import fingerprint_bytes, result_key
 from .cache import DecodedWeightCache
@@ -64,9 +66,15 @@ def decoded_weight_key(payload: bytes, spec: dict | None, shape: tuple) -> str:
 
 
 class _CompressedLayer:
-    """One compressed archive layer: its blob, key, and decode recipe."""
+    """One compressed archive layer: its blob, key, and decode recipe.
 
-    __slots__ = ("name", "payload", "spec", "shape", "key")
+    A line-fit layer keeps its :class:`~repro.core.plan.DecodePlan`
+    once the first cache miss has built it, so later misses only
+    evaluate lines.  A build that fails keeps nothing: every miss on a
+    damaged payload re-runs the checks and fails the same way.
+    """
+
+    __slots__ = ("name", "payload", "spec", "shape", "key", "plan")
 
     def __init__(self, name: str, payload: bytes, spec: dict | None, shape: tuple):
         self.name = name
@@ -74,15 +82,17 @@ class _CompressedLayer:
         self.spec = spec
         self.shape = tuple(int(s) for s in shape)
         self.key = decoded_weight_key(payload, spec, self.shape)
+        self.plan: DecodePlan | None = None
 
     def decode(self) -> np.ndarray:
         """Full decode of the layer's weight stream (cache-miss path)."""
-        if self.spec is None:
-            return wire_decode(self.payload).decompress().ravel()
-        codec = get_codec(self.spec["name"], **self.spec.get("params", {}))
-        blob = CompressedBlob.rebuild(self.spec, self.payload)
-        blob.verify(context=f"layer {self.name!r}")
-        return np.asarray(codec.decode(blob)).ravel()
+        if self.plan is None:
+            context = f"layer {self.name!r}"
+            plan = layer_plan(self.spec, self.payload, context=context)
+            if plan is None:  # not line-fit: the codec decodes the whole payload
+                return np.asarray(decode_layer(self.spec, self.payload, context)).ravel()
+            self.plan = plan
+        return self.plan.evaluate()
 
 
 class ServedModel:

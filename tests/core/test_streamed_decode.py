@@ -4,7 +4,9 @@ The regression contract of the fused decode+MAC path
 (:mod:`repro.core.provider` / :class:`repro.core.decompressor.
 WeightStream`): streaming only changes *when* decoded weights exist,
 never what they are.  Property-tested here across accumulation dtypes,
-arbitrary read-chunk patterns, and every registered codec.
+arbitrary read-chunk patterns, and every registered codec.  A stream
+cursor equals the hardware accumulator (``decompress_accumulate``); a
+blob cursor equals the codec's own decode (``codec.decode(blob)``).
 """
 
 from __future__ import annotations
@@ -109,6 +111,32 @@ class TestProvidersBitIdentical:
             provider.materialize(dtype=np.float32),
             np.asarray(codec.decode(blob), dtype=np.float32),
         )
+
+    @pytest.mark.parametrize("acc_dtype", ACC_DTYPES)
+    @pytest.mark.parametrize("kind", ["sorted", "random-walk"])
+    @pytest.mark.parametrize("delta_pct", [1.0, 2.0, 5.0, 10.0, 20.0])
+    def test_long_segment_blob_cursor_equals_codec_decode(
+        self, acc_dtype, kind, delta_pct
+    ):
+        """Segments of hundreds to thousands of weights, where a float32
+        accumulator and the float64 line drift apart: the blob cursor
+        must stream the codec's own decode, not the accumulator."""
+        rng = np.random.default_rng(3)
+        steps = rng.standard_normal(5000)
+        w = np.sort(steps) if kind == "sorted" else np.cumsum(steps)
+        codec = get_codec("linefit", delta_pct=delta_pct)
+        blob = codec.encode(w.astype(np.float32))
+        assert 5000 / blob.num_segments >= 8  # Gaussian noise gives ~2.6
+        ref = np.asarray(codec.decode(blob)).astype(acc_dtype)
+
+        cur = provider_for(blob).cursor(dtype=acc_dtype)
+        sizes, parts, i = (1, 7, 333, 64, 1999, 2), [], 0
+        while cur.remaining:
+            parts.append(cur.read(sizes[i % len(sizes)]))
+            i += 1
+        out = np.concatenate(parts)
+        assert out.dtype == ref.dtype
+        assert out.tobytes() == ref.tobytes()
 
     def test_non_linefit_blobs_fall_back_to_materialization(self):
         blob = get_codec("rle").encode(_weights(1, 500))
