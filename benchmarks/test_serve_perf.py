@@ -105,15 +105,23 @@ def test_batched_vs_serial_throughput(
     entry = BASELINE["benchmarks"]["serve_batched"]
 
     def measure():
-        serial_replies, serial_s, _ = _run(served, total, concurrency=1)
-        batched_replies, batched_s, svc = _run(served, total, concurrency=64)
-        return serial_replies, serial_s, batched_replies, batched_s, svc
+        # the baseline's recorded method: one warm-up round, then the
+        # best of 2 trials per arm, arms interleaved so that drift on a
+        # shared host reaches both arms alike
+        for concurrency in (1, 64):
+            _run(served, total, concurrency)
+        best: dict[int, tuple] = {}
+        for _ in range(2):
+            for concurrency in (1, 64):
+                trial = _run(served, total, concurrency)
+                assert all(isinstance(r, Ok) for r in trial[0])
+                if concurrency not in best or trial[1] < best[concurrency][1]:
+                    best[concurrency] = trial
+        return best[1], best[64]
 
-    serial_replies, serial_s, batched_replies, batched_s, svc = (
+    (serial_replies, serial_s, _), (batched_replies, batched_s, svc) = (
         benchmark.pedantic(measure, rounds=1, iterations=1)
     )
-    assert all(isinstance(r, Ok) for r in serial_replies)
-    assert all(isinstance(r, Ok) for r in batched_replies)
 
     serial_rps = total / serial_s
     batched_rps = total / batched_s

@@ -164,14 +164,14 @@ class LayerSchedule:
     @property
     def total_dram_read_bytes(self) -> int:
         """DRAM-side read volume (shared operands counted once per MC)."""
-        return sum(j.nbytes for j in self.dram_reads(chunk=1 << 62))
+        return sum(j.nbytes for j in self.dram_jobs())
 
     @property
     def total_write_bytes(self) -> int:
         return sum(w[2] for w in self.pe_work.values())
 
-    def dram_reads(self, chunk: int = DRAM_CHUNK_BYTES) -> list[DramRead]:
-        """Physical DRAM read jobs, chunked for pipelined service.
+    def dram_jobs(self) -> list[DramRead]:
+        """Physical DRAM read jobs, one per logical stream (unchunked).
 
         Shared-class transfers behind the same MC collapse into one job
         with all their PEs as destinations.
@@ -188,14 +188,16 @@ class LayerSchedule:
             if any(x.nbytes != nbytes for x in ts):
                 raise ValueError("shared transfers must have equal volume")
             jobs.append(DramRead(mc, tuple(x.pe for x in ts), nbytes, tclass))
-        out: list[DramRead] = []
-        for j in jobs:
-            remaining = j.nbytes
-            while remaining > 0:
-                n = min(chunk, remaining)
-                out.append(DramRead(j.mc, j.dsts, n, j.traffic_class))
-                remaining -= n
-        return out
+        return jobs
+
+    def dram_reads(self, chunk: int = DRAM_CHUNK_BYTES) -> list[DramRead]:
+        """:meth:`dram_jobs` chunked for pipelined service (the order the
+        flit-level memory interfaces are programmed in)."""
+        return [
+            DramRead(j.mc, j.dsts, min(chunk, j.nbytes - start), j.traffic_class)
+            for j in self.dram_jobs()
+            for start in range(0, j.nbytes, chunk)
+        ]
 
 
 def build_schedule(

@@ -10,7 +10,8 @@ the pipeline structure the flit simulator exhibits:
   data into the NoC at link rate (the NoC never backlogs because the
   per-MC injection bandwidth equals the DRAM channel bandwidth), so the
   read phase ends ~ one chunk-drain + route transit after the channel
-  goes idle;
+  goes idle.  Equal chunks cost the same, so a job's chunk totals are
+  summed in closed form (full chunks plus a tail), never chunk by chunk;
 * PEs compute once their inputs are in (the slowest-fed PE bounds the
   phase);
 * write-back serializes on the memory channels again.
@@ -79,35 +80,41 @@ class TransactionModel:
         # read phase: per-channel busy time (shared operands read once);
         # with on-chip replication the MC's injection link (1 flit/cycle)
         # can out-demand the DRAM channel, so the phase is bounded by the
-        # slower of the two per MC
+        # slower of the two per MC.  A job is ``k`` full chunks plus a
+        # ``rem``-byte tail, and equal chunks cost the same.
+        service = self.dram.service_cycles
+        mpb = self.dram.max_packet_bytes
+        chunk_cycles = service(self.chunk)
+        chunk_flits = _flits(self.chunk, mpb)
         read_busy: dict[int, int] = {}
         inject_flits: dict[int, int] = {}
         max_hops = 0
-        for job in schedule.dram_reads(self.chunk):
-            read_busy[job.mc] = read_busy.get(job.mc, 0) + self.dram.service_cycles(
-                job.nbytes
-            )
-            inject_flits[job.mc] = inject_flits.get(job.mc, 0) + len(job.dsts) * _flits(
-                job.nbytes, self.dram.max_packet_bytes
-            )
+        for job in schedule.dram_jobs():
+            if job.nbytes <= 0:
+                continue
+            k, rem = divmod(job.nbytes, self.chunk)
+            busy = k * chunk_cycles + (service(rem) if rem else 0)
+            flits = len(job.dsts) * (k * chunk_flits + _flits(rem, mpb))
+            read_busy[job.mc] = read_busy.get(job.mc, 0) + busy
+            inject_flits[job.mc] = inject_flits.get(job.mc, 0) + flits
             for dst in job.dsts:
                 max_hops = max(max_hops, self.mesh.hop_count(job.mc, dst))
         t_read = max(
-            (max(read_busy[mc], inject_flits.get(mc, 0)) for mc in read_busy),
+            (max(read_busy[mc], inject_flits[mc]) for mc in read_busy),
             default=0,
         )
 
-        # write phase: ofmap packets serialize on their channel
+        # write phase: ofmap packets serialize on their channel, again
+        # ``k`` full packets plus a tail
+        packet_cycles = service(mpb)
         write_busy: dict[int, int] = {}
         for pe, (_, _, o_bytes, _, _, _) in schedule.pe_work.items():
             if o_bytes <= 0:
                 continue
             mc = self.mesh.nearest_corner(pe)
-            remaining = o_bytes
-            while remaining > 0:
-                n = min(self.dram.max_packet_bytes, remaining)
-                write_busy[mc] = write_busy.get(mc, 0) + self.dram.service_cycles(n)
-                remaining -= n
+            k, rem = divmod(o_bytes, mpb)
+            busy = k * packet_cycles + (service(rem) if rem else 0)
+            write_busy[mc] = write_busy.get(mc, 0) + busy
             max_hops = max(max_hops, self.mesh.hop_count(pe, mc))
         t_write = max(write_busy.values(), default=0)
 
@@ -116,10 +123,10 @@ class TransactionModel:
         # of the slowest PE's ofmap into the network
         last_chunk_flits = _flits(
             min(self.chunk, max((t.nbytes for t in schedule.transfers), default=0)),
-            self.dram.max_packet_bytes,
+            mpb,
         )
         max_ofmap_flits = max(
-            (_flits(w[2], self.dram.max_packet_bytes) for w in schedule.pe_work.values()),
+            (_flits(w[2], mpb) for w in schedule.pe_work.values()),
             default=0,
         )
         t_comm = last_chunk_flits + max_ofmap_flits + 2 * max_hops * (pipe + 1)
